@@ -34,7 +34,7 @@ def _qp_from_system(system):
     lows, highs = np.asarray(lows), np.asarray(highs)
     t_ref = float(lows.min())
     mid = 0.5 * (lows + highs) - t_ref
-    A, lower, upper = system.builder.build(num_variables=n)
+    A, lower, upper = system.rows.matrix(), system.rows.lower, system.rows.upper
     shift = np.asarray(A @ np.ones(n)).ravel() * t_ref
     lower = np.where(np.isfinite(lower), lower - shift, lower)
     upper = np.where(np.isfinite(upper), upper - shift, upper)
@@ -104,7 +104,7 @@ def test_simplex_matches_highs_on_bound_lps(benchmark, fig6_trace):
     # Cross-check a few of those optima with the from-scratch simplex.
     checked = 0
     lows, highs = system.variable_bounds()
-    A, lower, upper = system.builder.build(num_variables=system.num_unknowns)
+    A, lower, upper = system.rows.matrix(), system.rows.lower, system.rows.upper
     for key, lp_lower, lp_upper in rows[:3]:
         target = system.variables.index_of(key)
         c = np.zeros(system.num_unknowns)

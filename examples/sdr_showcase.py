@@ -17,7 +17,7 @@ be proven — and shows the three treatments side by side:
 import numpy as np
 
 from repro.core.constraints import ConstraintConfig, build_constraints
-from repro.core.estimator import estimate_arrival_times
+from repro.backends.domo_qp import estimate_arrival_times
 from repro.core.records import ArrivalKey, TraceIndex
 from repro.core.sdr import (
     SdrConfig,

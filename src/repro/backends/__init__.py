@@ -1,12 +1,11 @@
 """Pluggable per-window estimator backends.
 
-Importing this package registers the four built-in backends:
+Importing this package registers the three built-in backends:
 
 * ``domo-qp`` — the paper's Eq. (8) minimum-delay-variance QP (default;
   also takes the SDR lift under ``fifo_mode="sdr"``);
 * ``cs`` — compressed-sensing delay tomography (ISTA/OMP sparse
   recovery over the window's routing matrix);
-* ``mnt`` — MNT bracketing midpoints (SenSys'12 baseline);
 * ``message-tracing`` — order-only uniform spacing (baseline).
 
 Resolve one with :func:`get_backend`; see :mod:`repro.backends.base`
@@ -16,7 +15,6 @@ for the contract.
 from __future__ import annotations
 
 from repro.backends.base import (
-    BackendCapabilities,
     EstimatorBackend,
     UnknownBackendError,
     WindowSolution,
@@ -25,7 +23,7 @@ from repro.backends.base import (
     get_backend,
     register_backend,
 )
-from repro.backends.baselines import MessageTracingBackend, MntBackend
+from repro.backends.baselines import MessageTracingBackend
 from repro.backends.cs import CsBackend, CsConfig
 from repro.backends.domo_qp import DomoQpBackend, EstimatorConfig
 
@@ -34,11 +32,9 @@ DEFAULT_BACKEND = "domo-qp"
 
 register_backend(DomoQpBackend())
 register_backend(CsBackend())
-register_backend(MntBackend())
 register_backend(MessageTracingBackend())
 
 __all__ = [
-    "BackendCapabilities",
     "CsBackend",
     "CsConfig",
     "DEFAULT_BACKEND",
@@ -46,7 +42,6 @@ __all__ = [
     "EstimatorBackend",
     "EstimatorConfig",
     "MessageTracingBackend",
-    "MntBackend",
     "UnknownBackendError",
     "WindowSolution",
     "available_backends",

@@ -12,14 +12,14 @@ A backend consumes one sealed window (a
 produces a :class:`WindowSolution`: estimates for the unknown
 :class:`~repro.core.records.ArrivalKey` quantities plus the solver
 metadata the telemetry layer records. Backends are registered under
-short stable names (``domo-qp``, ``cs``, ``mnt``, ``message-tracing``)
+short stable names (``domo-qp``, ``cs``, ``message-tracing``)
 and resolved with :func:`get_backend`; unknown names raise
 :class:`UnknownBackendError` listing what *is* registered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.constraints import ConstraintSystem
 from repro.core.records import ArrivalKey
@@ -46,27 +46,6 @@ class WindowSolution:
     result: SolverResult | None = None
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """Static properties the pipeline may branch on.
-
-    Attributes:
-        exact: whether the backend honors the full constraint system
-            (order + sum + FIFO rows) rather than an approximation.
-        supports_relaxation: whether re-solving a ladder-relaxed system
-            with this backend is meaningful. Backends that never consume
-            the constraint rows (the baselines, the CS engine) return
-            the same answer at every rung, so the ladder skips them.
-        cost_rank: coarse relative per-window cost, 0 = cheapest. Used
-            by the degradation ladder to decide what counts as a
-            *downgrade* (only strictly cheaper backends are eligible).
-    """
-
-    exact: bool = True
-    supports_relaxation: bool = True
-    cost_rank: int = 0
-
-
 class EstimatorBackend:
     """One per-window estimation strategy.
 
@@ -79,7 +58,11 @@ class EstimatorBackend:
 
     #: registry key; subclasses must override.
     name: str = ""
-    capabilities: BackendCapabilities = BackendCapabilities()
+    #: whether re-solving a ladder-relaxed system is meaningful. Backends
+    #: that never consume the constraint rows (the uniform split, the CS
+    #: engine) return the same answer at every rung, so the ladder skips
+    #: them.
+    supports_relaxation: bool = True
 
     def solve_window(
         self, system: ConstraintSystem, spec

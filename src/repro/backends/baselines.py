@@ -1,67 +1,24 @@
-"""Baseline reconstructors wrapped as estimator backends.
+"""The MessageTracing baseline wrapped as an estimator backend.
 
-These adapters put the paper's two comparison baselines behind the same
-per-window :class:`~repro.backends.base.EstimatorBackend` contract as
-the Domo QP and the CS engine, so a stream — or the benchmark harness —
-can swap them in by name and every downstream consumer (window state
-machine, serve tier, run reports) works unchanged.
+This adapter puts the paper's order-only comparison baseline behind the
+same per-window :class:`~repro.backends.base.EstimatorBackend` contract
+as the Domo QP and the CS engine, so a stream — or the benchmark
+harness — can swap it in by name and every downstream consumer (window
+state machine, serve tier, run reports) works unchanged.
 
-Both are *approximate* backends: they ignore the constraint-system rows
-and work from the packets alone, which also means a ladder-relaxed
+It is an *approximate* backend: it ignores the constraint-system rows
+and works from the packets alone, which also means a ladder-relaxed
 re-solve would return the same answer — ``supports_relaxation`` is off.
+(The MNT baseline stays a whole-trace reconstructor,
+:mod:`repro.baselines.mnt`: per window it was less accurate than this
+uniform split on every evaluated trace and no faster end to end.)
 """
 
 from __future__ import annotations
 
-from repro.backends.base import (
-    BackendCapabilities,
-    EstimatorBackend,
-    WindowSolution,
-)
+from repro.backends.base import EstimatorBackend, WindowSolution
 from repro.core.constraints import ConstraintSystem
 from repro.core.records import ArrivalKey
-
-
-def _clamped(system: ConstraintSystem, key: ArrivalKey, value: float) -> float:
-    low, high = system.intervals.get(
-        key, system.index.trivial_interval(key)
-    )
-    return float(min(max(value, low), high))
-
-
-class MntBackend(EstimatorBackend):
-    """MNT bracketing (Keller et al., SenSys'12) per window.
-
-    Runs :class:`~repro.baselines.mnt.MntReconstructor` over the
-    window's packets and reports the bound midpoints — the estimate the
-    paper's evaluation assigns to MNT (§VI.A).
-    """
-
-    name = "mnt"
-    capabilities = BackendCapabilities(
-        exact=False, supports_relaxation=False, cost_rank=1
-    )
-
-    def solve_window(
-        self, system: ConstraintSystem, spec
-    ) -> WindowSolution:
-        if system.num_unknowns == 0:
-            return WindowSolution(estimates={}, solver="empty", result=None)
-        from repro.baselines.mnt import MntConfig, MntReconstructor
-
-        reconstructor = MntReconstructor(
-            MntConfig(omega_ms=system.index.omega_ms)
-        )
-        reconstruction = reconstructor.reconstruct(system.index.packets)
-        estimates = {
-            key: _clamped(
-                system,
-                key,
-                0.5 * sum(reconstruction.intervals[key]),
-            )
-            for key in system.variables
-        }
-        return WindowSolution(estimates=estimates, solver="mnt", result=None)
 
 
 class MessageTracingBackend(EstimatorBackend):
@@ -76,9 +33,7 @@ class MessageTracingBackend(EstimatorBackend):
     """
 
     name = "message-tracing"
-    capabilities = BackendCapabilities(
-        exact=False, supports_relaxation=False, cost_rank=0
-    )
+    supports_relaxation = False
 
     def solve_window(
         self, system: ConstraintSystem, spec
@@ -91,7 +46,10 @@ class MessageTracingBackend(EstimatorBackend):
             hops = packet.path_length - 1
             total = packet.sink_arrival_ms - packet.generation_time_ms
             value = packet.generation_time_ms + total * key.hop / hops
-            estimates[key] = _clamped(system, key, value)
+            low, high = system.intervals.get(
+                key, system.index.trivial_interval(key)
+            )
+            estimates[key] = float(min(max(value, low), high))
         return WindowSolution(
             estimates=estimates, solver="message-tracing", result=None
         )

@@ -47,11 +47,7 @@ import time
 
 import numpy as np
 
-from repro.backends.base import (
-    BackendCapabilities,
-    EstimatorBackend,
-    WindowSolution,
-)
+from repro.backends.base import EstimatorBackend, WindowSolution
 from repro.core.constraints import ConstraintSystem
 from repro.core.records import ArrivalKey
 from repro.optim.result import SolverResult, SolverStatus
@@ -244,9 +240,7 @@ class CsBackend(EstimatorBackend):
     """Compressed-sensing tomography: cheap per-node recovery per window."""
 
     name = "cs"
-    capabilities = BackendCapabilities(
-        exact=False, supports_relaxation=False, cost_rank=1
-    )
+    supports_relaxation = False
 
     def solve_window(
         self, system: ConstraintSystem, spec

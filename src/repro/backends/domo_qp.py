@@ -13,12 +13,11 @@ the order/sum/resolved-FIFO rows it is a QP solved by
 midpoints selects a canonical solution when the variance objective alone
 is indifferent (e.g. packets with no epsilon-neighbor).
 
-This module is the historical ``repro.core.estimator`` moved behind the
-:class:`~repro.backends.base.EstimatorBackend` contract; that module
-remains as a re-export shim, and :class:`DomoQpBackend` dispatches
-bit-identically to the pre-refactor executor (empty window -> ``{}``,
-``fifo_mode="sdr"`` under the unknown cap -> SDR lift, else the
-linearized QP).
+The estimator sits behind the
+:class:`~repro.backends.base.EstimatorBackend` contract:
+:class:`DomoQpBackend` returns ``{}`` for an empty window, takes the SDR
+lift under ``fifo_mode="sdr"`` within the unknown cap, and otherwise
+solves the linearized QP.
 """
 
 from __future__ import annotations
@@ -28,11 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backends.base import (
-    BackendCapabilities,
-    EstimatorBackend,
-    WindowSolution,
-)
+from repro.backends.base import EstimatorBackend, WindowSolution
 from repro.core.constraints import ConstraintSystem
 from repro.core.records import ArrivalKey
 from repro.optim.qp import QPProblem, QPSettings, solve_qp
@@ -189,8 +184,9 @@ def estimate_arrival_times_info(
     P = P + 2.0 * lam * sp.identity(n, format="csc")
     q = q - 2.0 * lam * midpoints
 
-    # --- constraints: builder rows + interval box ----------------------
-    A_rows, row_lower, row_upper = system.builder.build(num_variables=n)
+    # --- constraints: window rows + interval box -----------------------
+    A_rows = system.rows.matrix()
+    row_lower, row_upper = system.rows.lower, system.rows.upper
     row_shift = np.asarray(A_rows @ np.ones(n)).ravel() * t_ref
     row_lower = np.where(np.isfinite(row_lower), row_lower - row_shift, row_lower)
     row_upper = np.where(np.isfinite(row_upper), row_upper - row_shift, row_upper)
@@ -226,9 +222,6 @@ class DomoQpBackend(EstimatorBackend):
     """
 
     name = "domo-qp"
-    capabilities = BackendCapabilities(
-        exact=True, supports_relaxation=True, cost_rank=2
-    )
 
     def solve_window(
         self, system: ConstraintSystem, spec

@@ -186,21 +186,17 @@ def _run_with_metrics(args, command: str, body) -> int:
 
 
 def _format_backends() -> str:
-    """One line per registered estimator backend, with its capabilities."""
+    """One line per registered estimator backend."""
     lines = []
-    for name in backend_names():
-        caps = available_backends()[name].capabilities
+    for name, backend in available_backends().items():
         default = "  (default)" if name == DEFAULT_BACKEND else ""
-        lines.append(
-            f"{name:16s} exact={str(caps.exact).lower():5s} "
-            f"relaxation={str(caps.supports_relaxation).lower():5s} "
-            f"cost_rank={caps.cost_rank}{default}"
-        )
+        relaxation = str(backend.supports_relaxation).lower()
+        lines.append(f"{name:16s} relaxation={relaxation}{default}")
     return "\n".join(lines)
 
 
 def _cmd_estimate(args) -> int:
-    from repro.runtime.telemetry import format_telemetry_report
+    from repro.obs.solver_telemetry import format_telemetry_report
 
     if args.list_backends:
         print(_format_backends())

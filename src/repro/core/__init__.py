@@ -6,8 +6,9 @@ The PC-side pipeline mirrors §IV of the paper:
    unknown arrival times and compute candidate sets C(p), C*(p);
 2. :mod:`repro.core.constraints` — build the three constraint families
    (FIFO, order, sum-of-delays) over the unknowns;
-3. :mod:`repro.core.estimator` + :mod:`repro.core.windows` — the Eq. (8)
-   minimum-delay-variance estimate, solved per overlapping time window;
+3. :mod:`repro.backends.domo_qp` + :mod:`repro.core.windows` — the
+   Eq. (8) minimum-delay-variance estimate, solved per overlapping time
+   window;
 4. :mod:`repro.core.sdr` — the faithful semidefinite relaxation of the
    FIFO constraints (Eq. (2)-(4));
 5. :mod:`repro.core.bounds` — per-arrival-time lower/upper bounds via LPs

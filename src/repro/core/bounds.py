@@ -15,15 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.core.constraints import ConstraintSystem
+from repro.core.constraints import FIFO, ORDER, SUM_LO, ConstraintSystem
 from repro.core.records import ArrivalKey
 from repro.graphcut.extraction import SubgraphExtractor
 from repro.graphcut.graph import ConstraintGraph
 from repro.optim.lp import LinearProgram, solve_lp
 from repro.constants import INF
-from repro.optim.modeling import ConstraintRow
+from repro.optim.modeling import RowStore
 
 
 @dataclass
@@ -74,12 +73,9 @@ class BoundComputer:
             use_blp=self.config.use_blp,
         )
         self._stats: dict[str, int] = {}
-        # column -> rows touching it, so sub-graph projection only visits
+        # Rows by column (CSC), so sub-graph projection only visits
         # relevant rows instead of scanning the whole system per target.
-        self._rows_by_column: dict[int, list[int]] = {}
-        for row_id, row in enumerate(self.system.builder.rows):
-            for column in row.indices:
-                self._rows_by_column.setdefault(column, []).append(row_id)
+        self._by_column = system.rows.matrix().tocsc()
 
     @property
     def stats(self) -> dict:
@@ -91,8 +87,11 @@ class BoundComputer:
         variables = self.system.variables
         for key in variables:
             graph.add_vertex(key)
-        for row in self.system.builder.rows:
-            graph.add_clique([variables.key_of(c) for c in row.indices])
+        rows = self.system.rows
+        indptr, indices = rows.indptr, rows.indices.tolist()
+        for row_id in range(len(rows)):
+            columns = indices[indptr[row_id]:indptr[row_id + 1]]
+            graph.add_clique([variables.key_of(c) for c in columns])
         return graph
 
     # ------------------------------------------------------------------
@@ -172,10 +171,11 @@ class BoundComputer:
             highs[i] = hi
 
         full_rows = self._relax_rows(local_of)
-        systems = [_BatchLP(full_rows, n_local, lows, highs)]
+        systems = [_BatchLP(full_rows, lows, highs)]
         if self.config.drop_upper_sum_on_infeasible:
-            relaxed = [r for r in full_rows if not r[3].startswith("sum_hi")]
-            systems.append(_BatchLP(relaxed, n_local, lows, highs))
+            # Every family but the loss-unsafe Eq. (6) rows.
+            relaxed = full_rows.select({ORDER, FIFO, SUM_LO})
+            systems.append(_BatchLP(relaxed, lows, highs))
 
         results: dict[ArrivalKey, BoundResult] = {}
         for key in keys:
@@ -198,24 +198,29 @@ class BoundComputer:
             results[key] = entry
         return results
 
-    def _relax_rows(self, local_of: dict[int, int]):
-        """Project builder rows onto the sub-graph, soundly relaxed.
+    def _relax_rows(self, local_of: dict[int, int]) -> RowStore:
+        """Project the window's rows onto the sub-graph, soundly relaxed.
 
         Rows not touching any inside column are irrelevant; rows partially
         outside have their outside terms replaced by interval worst cases,
         which keeps every remaining row valid for the true arrival times.
         """
         variables = self.system.variables
+        by_column = self._by_column
         relevant_ids: set[int] = set()
         for column in local_of:
-            relevant_ids.update(self._rows_by_column.get(column, ()))
-        rows = self.system.builder.rows
-        projected: list[tuple[dict[int, float], float, float, str]] = []
+            start, stop = by_column.indptr[column], by_column.indptr[column + 1]
+            relevant_ids.update(by_column.indices[start:stop].tolist())
+        rows = self.system.rows
+        indptr, indices, data = rows.indptr, rows.indices, rows.data
+        projected = RowStore(len(local_of))
         for row_id in sorted(relevant_ids):
-            row = rows[row_id]
+            start, stop = indptr[row_id], indptr[row_id + 1]
             inside_terms: dict[int, float] = {}
             slack_lo = slack_hi = 0.0
-            for column, coefficient in zip(row.indices, row.coefficients):
+            for column, coefficient in zip(
+                indices[start:stop].tolist(), data[start:stop].tolist()
+            ):
                 local = local_of.get(column)
                 if local is not None:
                     inside_terms[local] = coefficient
@@ -225,39 +230,26 @@ class BoundComputer:
                 slack_hi += max(coefficient * lo, coefficient * hi)
             if not inside_terms:
                 continue
-            lower = row.lower - slack_hi if np.isfinite(row.lower) else -INF
-            upper = row.upper - slack_lo if np.isfinite(row.upper) else INF
+            row_lower = float(rows.lower[row_id])
+            row_upper = float(rows.upper[row_id])
+            lower = row_lower - slack_hi if np.isfinite(row_lower) else -INF
+            upper = row_upper - slack_lo if np.isfinite(row_upper) else INF
             if lower == -INF and upper == INF:
                 continue
-            projected.append((inside_terms, lower, upper, row.tag))
+            projected.add(inside_terms, lower, upper, int(rows.family[row_id]))
         return projected
 
 
 class _BatchLP:
     """A fixed feasible region; min/max of single coordinates on demand."""
 
-    def __init__(self, rows, n_local, lows, highs):
-        self.n_local = n_local
+    def __init__(self, rows: RowStore, lows, highs):
+        self.n_local = rows.num_variables
         self.lows = lows
         self.highs = highs
-        if rows:
-            data, row_ids, col_ids = [], [], []
-            self.row_lower = np.empty(len(rows))
-            self.row_upper = np.empty(len(rows))
-            for r, (terms, lower, upper, _) in enumerate(rows):
-                self.row_lower[r] = lower
-                self.row_upper[r] = upper
-                for c, v in terms.items():
-                    row_ids.append(r)
-                    col_ids.append(c)
-                    data.append(v)
-            self.A = sp.csr_matrix(
-                (data, (row_ids, col_ids)), shape=(len(rows), n_local)
-            )
-        else:
-            self.A = sp.csr_matrix((0, n_local))
-            self.row_lower = np.empty(0)
-            self.row_upper = np.empty(0)
+        self.A = rows.matrix()
+        self.row_lower = rows.lower
+        self.row_upper = rows.upper
 
     def min_max(self, target_local: int) -> tuple[float, float] | None:
         """(min, max) of one coordinate, or None when the LP fails."""

@@ -1,9 +1,10 @@
 """Construction of Domo's three constraint families (paper §IV.A).
 
 :func:`build_constraints` turns a :class:`TraceIndex` into a
-:class:`ConstraintSystem`: sparse linear rows over the unknown arrival
-times (known times folded in as constants) plus the list of *unresolved*
-FIFO pairs kept for semidefinite relaxation.
+:class:`ConstraintSystem`: one :class:`~repro.optim.modeling.RowStore`
+of sparse linear rows over the unknown arrival times (known times folded
+in as constants, each row carrying its family code) plus the list of
+*unresolved* FIFO pairs kept for semidefinite relaxation.
 
 FIFO handling. Eq. (1) — ``(t_ix(x) - t_iy(y)) (t_ix+1(x) - t_iy+1(y)) > 0``
 — is non-convex. Two convexifications are supported:
@@ -30,7 +31,13 @@ from repro.core.intervals import (
 )
 from repro.core.records import ArrivalKey, TraceIndex
 from repro.constants import INF
-from repro.optim.modeling import ConstraintBuilder, VariableRegistry
+from repro.optim.modeling import RowStore, VariableRegistry
+
+#: Family code of each row in a window's :class:`RowStore`: Eq. (5)
+#: order rows, linearized Eq. (1) FIFO rows, the always-sound Eq. (7)
+#: sum rows and the loss-unsafe Eq. (6) sum rows. The degradation ladder
+#: and the bound LPs drop rows by family.
+ORDER, FIFO, SUM_LO, SUM_HI = range(4)
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ class ConstraintSystem:
 
     index: TraceIndex
     variables: VariableRegistry
-    builder: ConstraintBuilder
+    rows: RowStore
     intervals: dict[ArrivalKey, Interval]
     fifo_resolved: list[FifoPair] = field(default_factory=list)
     fifo_unresolved: list[FifoPair] = field(default_factory=list)
@@ -132,9 +139,9 @@ class ConstraintSystem:
     def add_row(
         self,
         terms: dict[ArrivalKey, float],
+        family: int,
         lower: float = -INF,
         upper: float = INF,
-        tag: str = "",
     ) -> None:
         """Add a row expressed over arrival keys; constants are folded.
 
@@ -158,7 +165,7 @@ class ConstraintSystem:
                     self.stats.get("inconsistent_known_rows", 0) + 1
                 )
             return
-        self.builder.add(folded, lower=new_lower, upper=new_upper, tag=tag)
+        self.rows.add(folded, lower=new_lower, upper=new_upper, family=family)
 
 
 def build_constraints(
@@ -172,7 +179,7 @@ def build_constraints(
     system = ConstraintSystem(
         index=index,
         variables=variables,
-        builder=ConstraintBuilder(num_variables=len(variables)),
+        rows=RowStore(len(variables)),
         intervals=trivial_intervals(index),
     )
     _resolve_fifo_pairs(system, config)
@@ -181,7 +188,7 @@ def build_constraints(
     _add_sum_rows(system, config)
     system.stats.update(
         unknowns=len(variables),
-        rows=len(system.builder),
+        rows=len(system.rows),
         fifo_resolved=len(system.fifo_resolved),
         fifo_unresolved=len(system.fifo_unresolved),
     )
@@ -356,7 +363,7 @@ def _add_order_rows(system: ConstraintSystem, config: ConstraintConfig):
             system.add_row(
                 {key: 1.0, prev_key: -1.0},
                 lower=config.omega_ms,
-                tag=f"order:{packet.packet_id}:{key.hop}",
+                family=ORDER,
             )
 
 
@@ -375,7 +382,7 @@ def _add_fifo_rows(system: ConstraintSystem, config: ConstraintConfig):
             system.add_row(
                 {late: 1.0, early: -1.0},
                 lower=margin,
-                tag=f"fifo:{pair.node}",
+                family=FIFO,
             )
 
 
@@ -419,7 +426,7 @@ def _add_sum_rows(system: ConstraintSystem, config: ConstraintConfig):
         system.add_row(
             terms,
             upper=s_value + config.sum_slack_ms,
-            tag=f"sum_lo:{packet.packet_id}",
+            family=SUM_LO,
         )
         emitted_lower += 1
 
@@ -438,7 +445,7 @@ def _add_sum_rows(system: ConstraintSystem, config: ConstraintConfig):
             system.add_row(
                 terms,
                 lower=s_value - config.sum_slack_ms,
-                tag=f"sum_hi:{packet.packet_id}",
+                family=SUM_HI,
             )
             emitted_upper += 1
     system.stats["sum_lower_rows"] = emitted_lower

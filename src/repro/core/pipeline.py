@@ -21,10 +21,14 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.backends import CsConfig, DEFAULT_BACKEND, backend_names
+from repro.backends import (
+    DEFAULT_BACKEND,
+    CsConfig,
+    EstimatorConfig,
+    backend_names,
+)
 from repro.core.bounds import BoundComputer, BoundResult, BoundsConfig
 from repro.core.constraints import ConstraintConfig, build_constraints
-from repro.core.estimator import EstimatorConfig
 from repro.core.preprocessor import choose_window_span
 from repro.core.records import ArrivalKey, TraceIndex, assemble_arrival_vector
 from repro.core.sdr import SdrConfig
@@ -101,14 +105,10 @@ class DomoConfig:
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     sdr: SdrConfig = field(default_factory=SdrConfig)
     #: estimator backend by registry name: "domo-qp" (the paper's Eq. (8)
-    #: QP, default), "cs" (compressed-sensing tomography), or one of the
-    #: baselines ("mnt", "message-tracing"). See :mod:`repro.backends`.
+    #: QP, default), "cs" (compressed-sensing tomography), or the
+    #: "message-tracing" uniform-split baseline. See :mod:`repro.backends`.
     backend: str = DEFAULT_BACKEND
     cs: CsConfig = field(default_factory=CsConfig)
-    #: let the degradation ladder re-solve a window with the cheap "cs"
-    #: backend when every relaxed re-solve of the configured backend
-    #: failed, instead of surrendering straight to interval midpoints.
-    backend_downgrade: bool = False
 
     def __post_init__(self) -> None:
         if self.fifo_mode not in FIFO_MODES:
@@ -154,7 +154,6 @@ class DomoConfig:
             sdr=self.sdr,
             backend=self.backend,
             cs=self.cs,
-            allow_backend_downgrade=self.backend_downgrade,
         )
 
 

@@ -174,15 +174,15 @@ def _solve_lifted(
         row_lower.append(lower)
         row_upper.append(upper)
 
-    # --- linear rows from the constraint builder (over u only) --------
-    A_rows, b_lower, b_upper = system.builder.build(num_variables=n)
+    # --- linear rows of the window (over u only) -----------------------
+    A_rows = system.rows.matrix()
+    b_lower, b_upper = system.rows.lower, system.rows.upper
     shift = np.asarray(A_rows @ np.ones(n)).ravel() * t_ref
-    A_csr = A_rows.tocsr()
-    for r in range(A_csr.shape[0]):
-        start, stop = A_csr.indptr[r], A_csr.indptr[r + 1]
+    for r in range(A_rows.shape[0]):
+        start, stop = A_rows.indptr[r], A_rows.indptr[r + 1]
         coeffs = {
             int(c): float(v)
-            for c, v in zip(A_csr.indices[start:stop], A_csr.data[start:stop])
+            for c, v in zip(A_rows.indices[start:stop], A_rows.data[start:stop])
         }
         lower = (b_lower[r] - shift[r]) / scale if np.isfinite(b_lower[r]) else -INF
         upper = (b_upper[r] - shift[r]) / scale if np.isfinite(b_upper[r]) else INF
@@ -370,7 +370,7 @@ def _true_objective(system: ConstraintSystem, x: np.ndarray) -> float:
 
 def _violation(system: ConstraintSystem, x: np.ndarray) -> float:
     """Total violation of the linear rows at a candidate point."""
-    return float(system.builder.max_violation(x))
+    return system.rows.max_violation(x)
 
 
 def _add_lifted_product(

@@ -13,10 +13,8 @@ the pipeline itself observable the same way. Three pieces:
   document (:class:`RunReport`), its validator and pretty-printer,
   written by ``domo ... --metrics-out`` and read by ``domo report``.
 
-The two historical telemetry modules live here now
-(:mod:`repro.obs.solver_telemetry`, :mod:`repro.obs.stream_telemetry`)
-and remain importable under their original names
-``repro.runtime.telemetry`` and ``repro.stream.telemetry``.
+The window-solve and stream-lifecycle telemetry records live here too
+(:mod:`repro.obs.solver_telemetry`, :mod:`repro.obs.stream_telemetry`).
 """
 
 from repro.obs.registry import (

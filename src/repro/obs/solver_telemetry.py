@@ -8,8 +8,6 @@ folds a run's records into the flat ``stats`` dict exposed on
 :func:`format_telemetry_report` renders an operator-readable summary for
 the CLI's ``--solver-stats`` path.
 
-This module lives in :mod:`repro.obs` (the observability layer) and is
-re-exported under its historical name ``repro.runtime.telemetry``.
 Registry publication happens at solve time
 (:func:`repro.runtime.executor.solve_one_window` feeds the
 ``window.*`` histograms through an isolated per-window registry), so
@@ -38,7 +36,6 @@ SOLVER_KINDS = (
     "empty",
     "cs-ista",
     "cs-omp",
-    "mnt",
     "message-tracing",
 )
 

@@ -11,21 +11,21 @@ This subpackage provides those solvers from scratch:
 * :mod:`repro.optim.sdp` — an ADMM solver for QPs with additional affine
   positive-semidefinite (PSD) cone constraints, used by the faithful
   semidefinite relaxation of the FIFO constraints.
-* :mod:`repro.optim.modeling` — a tiny variable/constraint modeling layer
-  shared by all constraint producers.
+* :mod:`repro.optim.modeling` — the variable registry and the CSR
+  :class:`RowStore` every constraint producer emits rows into.
 """
 
 from repro.optim.lp import LinearProgram, solve_lp, solve_lp_simplex
-from repro.optim.modeling import ConstraintBuilder, VariableRegistry
+from repro.optim.modeling import RowStore, VariableRegistry
 from repro.optim.qp import QPProblem, solve_qp
 from repro.optim.result import SolverError, SolverResult, SolverStatus
 from repro.optim.sdp import PSDBlock, SDPProblem, solve_sdp
 
 __all__ = [
-    "ConstraintBuilder",
     "LinearProgram",
     "PSDBlock",
     "QPProblem",
+    "RowStore",
     "SDPProblem",
     "SolverError",
     "SolverResult",

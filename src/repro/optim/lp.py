@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from repro.constants import INF
 from repro.obs.solver_telemetry import record_solver_result
@@ -71,6 +70,10 @@ _LINPROG_STATUS = {
 
 def solve_lp(problem: LinearProgram) -> SolverResult:
     """Solve a :class:`LinearProgram` with scipy's HiGHS backend."""
+    # Imported here: scipy.optimize is a large import, and no estimate or
+    # serve path solves an LP.
+    from scipy.optimize import linprog
+
     # linprog wants A_ub x <= b_ub and A_eq x == b_eq; split box rows.
     started = time.perf_counter()
     eq_mask = problem.row_lower == problem.row_upper

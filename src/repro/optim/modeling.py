@@ -1,15 +1,14 @@
 """A small modeling layer: named variables and box-form linear constraints.
 
 All Domo constraint producers (order, sum-of-delays, FIFO) emit rows into a
-:class:`ConstraintBuilder`, which assembles the sparse system
-``l <= A x <= u`` consumed by the QP/LP/SDP solvers. Equalities are rows
-with ``l == u``; one-sided rows use ``-inf`` / ``+inf``.
+:class:`RowStore`, which holds the sparse system ``l <= A x <= u`` consumed
+by the QP/LP/SDP solvers in CSR form. Equalities are rows with ``l == u``;
+one-sided rows use ``-inf`` / ``+inf``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,141 +62,144 @@ class VariableRegistry:
         return list(self._keys)
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    """One row ``lower <= sum(coeff * x[idx]) <= upper`` with a provenance tag."""
+class RowStore:
+    """Sparse rows ``lower <= A x <= upper``, one family code per row.
 
-    indices: tuple[int, ...]
-    coefficients: tuple[float, ...]
-    lower: float
-    upper: float
-    tag: str = ""
+    The single representation of a window's linear constraint system:
+    CSR arrays (``indptr``, ``indices``, ``data``) over ``num_variables``
+    columns, the ``lower``/``upper`` bound vectors, and one small-int
+    ``family`` code per row naming the constraint family that emitted it
+    (the producer owns the codes; Domo's are defined in
+    :mod:`repro.core.constraints`). Rows keep their insertion order.
+    Consumers ask for what they need — the :meth:`matrix`, the rows of
+    some families (:meth:`select`) or per-row :meth:`violations` —
+    instead of inspecting rows one by one.
+    """
 
-    def evaluate(self, x: np.ndarray) -> float:
-        """Value of the row's linear form at ``x``."""
-        return float(sum(c * x[i] for i, c in zip(self.indices, self.coefficients)))
-
-    def violation(self, x: np.ndarray) -> float:
-        """Amount by which ``x`` violates the row (0 when satisfied)."""
-        value = self.evaluate(x)
-        return max(0.0, self.lower - value, value - self.upper)
-
-
-class ConstraintBuilder:
-    """Accumulates :class:`ConstraintRow` objects and builds the sparse system."""
-
-    def __init__(self, num_variables: int | None = None) -> None:
-        self._rows: list[ConstraintRow] = []
-        self._num_variables = num_variables
+    def __init__(self, num_variables: int) -> None:
+        self.num_variables = num_variables
+        self._indptr: list[int] = [0]
+        self._indices: list[int] = []
+        self._data: list[float] = []
+        self._lower: list[float] = []
+        self._upper: list[float] = []
+        self._family: list[int] = []
+        self._arrays: tuple[np.ndarray, ...] | None = None
 
     def __len__(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> list[ConstraintRow]:
-        return list(self._rows)
+        return len(self._lower)
 
     def add(
         self,
-        terms: Mapping[int, float] | Iterable[tuple[int, float]],
+        terms: dict[int, float] | Iterable[tuple[int, float]],
         lower: float = -INF,
         upper: float = INF,
-        tag: str = "",
+        family: int = 0,
     ) -> None:
-        """Add a row ``lower <= sum(coeff * x) <= upper``.
+        """Append a row ``lower <= sum(coeff * x) <= upper``.
 
-        Terms with the same index are merged; zero coefficients are kept out.
+        ``terms`` maps columns to coefficients, or is an iterable of
+        ``(column, coefficient)`` pairs whose duplicate columns are
+        summed. Zero coefficients are dropped and columns sorted; a row
+        left with no terms is checked for feasibility and not stored.
         """
         if lower > upper:
             raise ValueError(f"empty row interval [{lower}, {upper}]")
-        merged: dict[int, float] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for index, coefficient in items:
-            if index < 0:
-                raise ValueError(f"negative variable index {index}")
-            merged[index] = merged.get(index, 0.0) + float(coefficient)
-        merged = {i: c for i, c in merged.items() if c != 0.0}
-        if not merged:
+        if not isinstance(terms, dict):
+            merged: dict[int, float] = {}
+            for column, coefficient in terms:
+                merged[column] = merged.get(column, 0.0) + coefficient
+            terms = merged
+        columns = sorted(c for c, v in terms.items() if v != 0.0)
+        if not columns:
             if lower > 0.0 or upper < 0.0:
                 raise ValueError("constant row is infeasible")
             return
-        indices = tuple(sorted(merged))
-        self._rows.append(
-            ConstraintRow(
-                indices=indices,
-                coefficients=tuple(merged[i] for i in indices),
-                lower=float(lower),
-                upper=float(upper),
-                tag=tag,
+        if columns[0] < 0:
+            raise ValueError(f"negative variable index {columns[0]}")
+        if columns[-1] >= self.num_variables:
+            raise ValueError(
+                f"row references column {columns[-1]} >= n={self.num_variables}"
             )
+        self._indices.extend(columns)
+        self._data.extend([float(terms[c]) for c in columns])
+        self._indptr.append(len(self._indices))
+        self._lower.append(float(lower))
+        self._upper.append(float(upper))
+        self._family.append(family)
+        self._arrays = None
+
+    def _frozen(self) -> tuple[np.ndarray, ...]:
+        """Read-only arrays of the rows added so far (cached)."""
+        if self._arrays is None:
+            arrays = (
+                np.array(self._indptr, dtype=np.int32),
+                np.array(self._indices, dtype=np.int32),
+                np.array(self._data, dtype=float),
+                np.array(self._lower, dtype=float),
+                np.array(self._upper, dtype=float),
+                np.array(self._family, dtype=np.int8),
+            )
+            for array in arrays:
+                array.flags.writeable = False
+            self._arrays = arrays
+        return self._arrays
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._frozen()[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._frozen()[1]
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._frozen()[2]
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self._frozen()[3]
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self._frozen()[4]
+
+    @property
+    def family(self) -> np.ndarray:
+        return self._frozen()[5]
+
+    def matrix(self) -> sp.csr_matrix:
+        """``A`` as a CSR matrix over the store's (read-only) arrays."""
+        indptr, indices, data = self._frozen()[:3]
+        return sp.csr_matrix(
+            (data, indices, indptr), shape=(len(self), self.num_variables)
         )
 
-    def add_le(self, terms, upper: float, tag: str = "") -> None:
-        """Add ``sum(terms) <= upper``."""
-        self.add(terms, lower=-INF, upper=upper, tag=tag)
+    def select(self, families) -> "RowStore":
+        """A new store holding only the rows of the given families.
 
-    def add_ge(self, terms, lower: float, tag: str = "") -> None:
-        """Add ``sum(terms) >= lower``."""
-        self.add(terms, lower=lower, upper=INF, tag=tag)
-
-    def add_eq(self, terms, value: float, tag: str = "") -> None:
-        """Add ``sum(terms) == value``."""
-        self.add(terms, lower=value, upper=value, tag=tag)
-
-    def extend(self, other: "ConstraintBuilder") -> None:
-        """Append all rows from another builder."""
-        self._rows.extend(other._rows)
-
-    def build(self, num_variables: int | None = None):
-        """Assemble ``(A, l, u)`` with ``A`` in CSR format.
-
-        Args:
-            num_variables: number of columns; defaults to the value passed
-                at construction or to ``max index + 1``.
+        Used by the degradation ladder: an infeasible system is re-solved
+        with whole constraint families removed. Row order is kept.
         """
-        if num_variables is None:
-            num_variables = self._num_variables
-        if num_variables is None:
-            num_variables = 1 + max(
-                (max(row.indices) for row in self._rows), default=-1
-            )
-        data: list[float] = []
-        row_ids: list[int] = []
-        col_ids: list[int] = []
-        lower = np.empty(len(self._rows))
-        upper = np.empty(len(self._rows))
-        for row_id, row in enumerate(self._rows):
-            lower[row_id] = row.lower
-            upper[row_id] = row.upper
-            for index, coefficient in zip(row.indices, row.coefficients):
-                if index >= num_variables:
-                    raise ValueError(
-                        f"row references column {index} >= n={num_variables}"
-                    )
-                row_ids.append(row_id)
-                col_ids.append(index)
-                data.append(coefficient)
-        matrix = sp.csr_matrix(
-            (data, (row_ids, col_ids)), shape=(len(self._rows), num_variables)
-        )
-        return matrix, lower, upper
+        indptr, indices, data, lower, upper, family = self._frozen()
+        keep = np.isin(family, list(families))
+        lengths = np.diff(indptr)
+        entries = np.repeat(keep, lengths)
+        out = RowStore(self.num_variables)
+        out._indptr = [0, *np.cumsum(lengths[keep]).tolist()]
+        out._indices = indices[entries].tolist()
+        out._data = data[entries].tolist()
+        out._lower = lower[keep].tolist()
+        out._upper = upper[keep].tolist()
+        out._family = family[keep].tolist()
+        return out
+
+    def violations(self, x: np.ndarray) -> np.ndarray:
+        """Per-row amount by which ``x`` violates its row (0 if satisfied)."""
+        value = self.matrix() @ x
+        return np.maximum(0.0, np.maximum(self.lower - value, value - self.upper))
 
     def max_violation(self, x: np.ndarray) -> float:
         """Largest violation of any row at ``x`` (0 when fully feasible)."""
-        return max((row.violation(x) for row in self._rows), default=0.0)
-
-    def rows_by_tag(self, prefix: str) -> list[ConstraintRow]:
-        """All rows whose tag starts with ``prefix``."""
-        return [row for row in self._rows if row.tag.startswith(prefix)]
-
-    def filtered(self, keep) -> "ConstraintBuilder":
-        """A new builder holding only the rows whose tag satisfies ``keep``.
-
-        Used by the degradation ladder: an infeasible system is re-solved
-        with whole constraint families (identified by their tag prefixes)
-        removed. Rows are shared, not copied — :class:`ConstraintRow` is
-        frozen, so sharing is safe.
-        """
-        out = ConstraintBuilder(num_variables=self._num_variables)
-        out._rows = [row for row in self._rows if keep(row.tag)]
-        return out
+        return float(self.violations(x).max(initial=0.0))

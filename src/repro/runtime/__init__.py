@@ -6,10 +6,16 @@ pool — and records structured per-window solver telemetry:
 
 * :mod:`repro.runtime.executor` — :func:`execute_windows`, the
   deterministic fan-out engine with serial fallback;
-* :mod:`repro.runtime.telemetry` — :class:`WindowTelemetry` records and
-  the aggregation/reporting helpers behind ``DelayReconstruction.stats``.
+* :mod:`repro.obs.solver_telemetry` — :class:`WindowTelemetry` records
+  and the aggregation/reporting helpers behind
+  ``DelayReconstruction.stats`` (re-exported here).
 """
 
+from repro.obs.solver_telemetry import (
+    WindowTelemetry,
+    format_telemetry_report,
+    summarize_telemetry,
+)
 from repro.runtime.executor import (
     ExecutionReport,
     WindowResult,
@@ -17,11 +23,6 @@ from repro.runtime.executor import (
     execute_windows,
     resolve_worker_count,
     solve_one_window,
-)
-from repro.runtime.telemetry import (
-    WindowTelemetry,
-    format_telemetry_report,
-    summarize_telemetry,
 )
 
 __all__ = [

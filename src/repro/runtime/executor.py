@@ -42,6 +42,7 @@ from repro.backends import (
     EstimatorConfig,
     get_backend,
 )
+from repro.core.constraints import FIFO, ORDER, SUM_LO
 from repro.core.preprocessor import WindowSystem
 from repro.core.records import ArrivalKey
 from repro.core.sdr import SdrConfig
@@ -50,9 +51,9 @@ from repro.obs.registry import (
     current_registry,
     isolated_registry,
 )
+from repro.obs.solver_telemetry import WindowTelemetry
 from repro.obs.spans import span
 from repro.optim.result import SolverError
-from repro.runtime.telemetry import WindowTelemetry
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,6 @@ class WindowSolveSpec:
     #: registry name of the estimator backend (see :mod:`repro.backends`).
     backend: str = DEFAULT_BACKEND
     cs: CsConfig = field(default_factory=CsConfig)
-    #: allow the degradation ladder's final pre-midpoint rung: re-solve
-    #: a window whose configured backend failed every relaxation with
-    #: the cheaper ``cs`` backend instead of surrendering to midpoints.
-    allow_backend_downgrade: bool = False
 
 
 @dataclass
@@ -103,36 +100,22 @@ class ExecutionReport:
     fallback_reason: str | None = None
 
 
-#: the degradation ladder: rung name -> predicate over row tags keeping
-#: the rows that survive at that rung. Walked in order by
-#: :func:`solve_one_window` when the full system cannot be solved.
-RELAXATION_LADDER: tuple[tuple[str, object], ...] = (
-    (
-        "drop_sum_upper",
-        lambda tag: not tag.startswith("sum_hi"),
-    ),
-    (
-        "drop_fifo",
-        lambda tag: not (tag.startswith("sum_hi") or tag.startswith("fifo")),
-    ),
-    (
-        "order_only",
-        lambda tag: tag.startswith("order"),
-    ),
+#: the degradation ladder: rung name -> the constraint families whose
+#: rows survive at that rung. Walked in order by :func:`solve_one_window`
+#: when the full system cannot be solved.
+RELAXATION_LADDER: tuple[tuple[str, frozenset[int]], ...] = (
+    ("drop_sum_upper", frozenset({ORDER, FIFO, SUM_LO})),
+    ("drop_fifo", frozenset({ORDER, SUM_LO})),
+    ("order_only", frozenset({ORDER})),
 )
-
-#: rung index reported when every relaxation failed and the window was
-#: re-solved by the cheaper ``cs`` backend (only when the spec enables
-#: ``allow_backend_downgrade`` and the configured backend is costlier).
-BACKEND_DOWNGRADE_RUNG = len(RELAXATION_LADDER) + 1
 
 #: rung index reported when even the order-only system failed and the
 #: window fell back to interval midpoints.
-MIDPOINT_RUNG = len(RELAXATION_LADDER) + 2
+MIDPOINT_RUNG = len(RELAXATION_LADDER) + 1
 
 
-def _relaxed_system(system, keep):
-    """A copy of ``system`` whose builder holds only ``keep``-tagged rows.
+def _relaxed_system(system, families):
+    """A copy of ``system`` keeping only the rows of ``families``.
 
     The index, variables and intervals are shared (read-only in the
     estimator); unresolved FIFO pairs are cleared so an SDR re-solve of a
@@ -140,7 +123,7 @@ def _relaxed_system(system, keep):
     """
     return replace(
         system,
-        builder=system.builder.filtered(keep),
+        rows=system.rows.select(families),
         fifo_unresolved=[],
         stats=dict(system.stats),
     )
@@ -175,7 +158,6 @@ def _solve_one_window_inner(
     started = time.perf_counter()
     system = ws.system
     backend = get_backend(spec.backend)
-    solved_by = backend.name
     solver = "linearized"
     status = "optimal"
     iterations = 0
@@ -196,11 +178,11 @@ def _solve_one_window_inner(
         # removed before surrendering to midpoints. Backends that never
         # consume the constraint rows would return the same answer at
         # every rung, so the ladder only walks for those that do.
-        if backend.capabilities.supports_relaxation:
-            for rung, (stage, keep) in enumerate(
+        if backend.supports_relaxation:
+            for rung, (stage, families) in enumerate(
                 RELAXATION_LADDER, start=1
             ):
-                relaxed = _relaxed_system(system, keep)
+                relaxed = _relaxed_system(system, families)
                 try:
                     attempts += 1
                     solution = backend.solve_relaxed(relaxed, spec)
@@ -214,28 +196,6 @@ def _solve_one_window_inner(
                     break
                 except SolverError:
                     continue
-        if estimates is None and spec.allow_backend_downgrade:
-            # Pre-midpoint rung: downgrade the window to the cheap CS
-            # backend. Only a *downgrade* is eligible — a backend no
-            # costlier than CS gains nothing from the swap.
-            downgraded = get_backend("cs")
-            if (
-                downgraded.capabilities.cost_rank
-                < backend.capabilities.cost_rank
-            ):
-                try:
-                    attempts += 1
-                    solution = downgraded.solve_window(system, spec)
-                    estimates, result, solver = (
-                        solution.estimates,
-                        solution.result,
-                        solution.solver,
-                    )
-                    solved_by = downgraded.name
-                    relax_rung = BACKEND_DOWNGRADE_RUNG
-                    relax_stage = "cs_downgrade"
-                except SolverError:
-                    pass
         if estimates is None:
             solver = "fallback"
             status = "fallback"
@@ -270,7 +230,7 @@ def _solve_one_window_inner(
         relax_rung=relax_rung,
         relax_stage=relax_stage,
         solve_attempts=attempts,
-        backend=solved_by,
+        backend=backend.name,
     )
     return WindowResult(
         window_index=window_index, estimates=kept, telemetry=telemetry

@@ -6,15 +6,15 @@ engine). See :mod:`repro.stream.engine` for the window state machine and
 watermark semantics.
 """
 
+from repro.obs.stream_telemetry import (
+    StreamTelemetry,
+    format_stream_report,
+    merge_stream_stats,
+)
 from repro.stream.engine import (
     CommittedWindow,
     StreamingReconstructor,
     WindowState,
-)
-from repro.stream.telemetry import (
-    StreamTelemetry,
-    format_stream_report,
-    merge_stream_stats,
 )
 
 __all__ = [

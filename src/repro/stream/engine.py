@@ -54,12 +54,12 @@ from repro.core.validation import ValidationReport, validate_packets
 from repro.core.windows import TimeWindow, iter_window_grid
 from repro.constants import INF
 from repro.obs.registry import current_registry
+from repro.obs.solver_telemetry import WindowTelemetry, summarize_telemetry
 from repro.obs.spans import span
+from repro.obs.stream_telemetry import StreamTelemetry, merge_stream_stats
 from repro.runtime.executor import WindowExecutor, WindowResult, WindowSolveSpec
-from repro.runtime.telemetry import WindowTelemetry, summarize_telemetry
 from repro.sim.packet import PacketId
 from repro.sim.trace import ReceivedPacket, TraceBundle
-from repro.stream.telemetry import StreamTelemetry, merge_stream_stats
 
 
 class WindowState(str, Enum):

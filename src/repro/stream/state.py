@@ -31,7 +31,7 @@ from dataclasses import asdict
 from repro.constants import INF
 from repro.core.validation import ValidationIssue, ValidationReport
 from repro.core.windows import iter_window_grid
-from repro.runtime.telemetry import WindowTelemetry
+from repro.obs.solver_telemetry import WindowTelemetry
 from repro.sim.io import packet_from_json, packet_to_json
 from repro.sim.packet import PacketId
 

@@ -3,19 +3,21 @@
 The load-bearing guarantees: the ``domo-qp`` refactor is *bit-exact*
 (moving Eq. (8) behind the backend contract changed no estimate), every
 backend covers the same unknowns through the same window machinery, and
-the ladder's pre-midpoint ``cs_downgrade`` rung only fires when asked.
+and a window whose every relaxation fails surrenders to midpoints.
 """
 
 import pytest
 
 from repro.backends import backend_names
 from repro.core.constraints import ConstraintConfig
-from repro.core.estimator import EstimatorConfig, estimate_arrival_times_info
+from repro.backends.domo_qp import (
+    EstimatorConfig,
+    estimate_arrival_times_info,
+)
 from repro.core.pipeline import DomoConfig, DomoReconstructor
 from repro.core.preprocessor import build_window_systems
 from repro.optim.result import SolverError, SolverStatus
 from repro.runtime.executor import (
-    BACKEND_DOWNGRADE_RUNG,
     MIDPOINT_RUNG,
     RELAXATION_LADDER,
     WindowSolveSpec,
@@ -98,32 +100,6 @@ def _always_failing(system, config=None):
     raise SolverError(SolverStatus.NUMERICAL_ERROR, "forced failure")
 
 
-def test_ladder_downgrades_to_cs_when_allowed(monkeypatch):
-    ws = _systems()[0]
-    monkeypatch.setattr(
-        "repro.backends.domo_qp.estimate_arrival_times_info",
-        _always_failing,
-    )
-    spec = WindowSolveSpec(allow_backend_downgrade=True)
-    result = solve_one_window(0, ws, spec)
-    telemetry = result.telemetry
-    assert telemetry.relax_rung == BACKEND_DOWNGRADE_RUNG
-    assert telemetry.relax_stage == "cs_downgrade"
-    assert telemetry.backend == "cs"
-    assert telemetry.solver == "cs-ista"
-    assert telemetry.status != "fallback"
-    # Full ladder walked first, then one downgrade attempt.
-    assert telemetry.solve_attempts == 1 + len(RELAXATION_LADDER) + 1
-    # A real CS solve happened: estimates are not interval midpoints.
-    assert result.estimates
-    midpoints = sum(
-        result.estimates[key]
-        == pytest.approx(0.5 * sum(ws.system.intervals[key]))
-        for key in result.estimates
-    )
-    assert midpoints < len(result.estimates)
-
-
 def test_ladder_surrenders_to_midpoints_without_the_opt_in(monkeypatch):
     ws = _systems()[0]
     monkeypatch.setattr(
@@ -136,16 +112,16 @@ def test_ladder_surrenders_to_midpoints_without_the_opt_in(monkeypatch):
     assert telemetry.relax_stage == "midpoints"
     assert telemetry.backend == "domo-qp"
     assert telemetry.solver == "fallback"
+    # Full ladder walked, then midpoints: no other rung in between.
+    assert telemetry.solve_attempts == 1 + len(RELAXATION_LADDER)
+    assert MIDPOINT_RUNG == len(RELAXATION_LADDER) + 1
     for key, value in result.estimates.items():
         lo, hi = ws.system.intervals[key]
         assert value == pytest.approx(0.5 * (lo + hi))
 
 
-def test_backend_downgrade_config_knob_reaches_the_spec():
-    spec = DomoConfig(backend_downgrade=True).solve_spec()
-    assert spec.allow_backend_downgrade is True
+def test_backend_config_reaches_the_spec():
     default = DomoConfig().solve_spec()
-    assert default.allow_backend_downgrade is False
     assert default.backend == "domo-qp"
     cs_spec = DomoConfig(backend="cs").solve_spec()
     assert cs_spec.backend == "cs"
@@ -158,8 +134,10 @@ def test_unknown_backend_rejected_at_config_time():
 
 def test_backend_windows_summary_across_a_sweep():
     systems = _systems()
-    report = execute_windows(systems, WindowSolveSpec(backend="mnt"))
-    from repro.runtime.telemetry import summarize_telemetry
+    report = execute_windows(
+        systems, WindowSolveSpec(backend="message-tracing")
+    )
+    from repro.obs.solver_telemetry import summarize_telemetry
 
     stats = summarize_telemetry([r.telemetry for r in report.results])
-    assert stats["backend_windows"] == {"mnt": len(systems)}
+    assert stats["backend_windows"] == {"message-tracing": len(systems)}

@@ -9,6 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core.constraints import (
+    FIFO,
+    ORDER,
+    SUM_HI,
+    SUM_LO,
     ConstraintConfig,
     build_constraints,
 )
@@ -33,7 +37,7 @@ def _truth_vector(system, bundle):
 
 def test_order_rows_emitted(busy_node_trace):
     system = _system(busy_node_trace)
-    order_rows = system.builder.rows_by_tag("order")
+    order_rows = system.rows.select({ORDER})
     # x and z have one unknown each: two order rows survive folding per
     # packet (t1-t0 >= w and t2-t1 >= w), y likewise.
     assert len(order_rows) == 6
@@ -42,7 +46,7 @@ def test_order_rows_emitted(busy_node_trace):
 def test_truth_satisfies_all_rows_hand_built(busy_node_trace):
     system = _system(busy_node_trace)
     x = _truth_vector(system, busy_node_trace)
-    assert system.builder.max_violation(x) <= 1e-9
+    assert system.rows.max_violation(x) <= 1e-9
 
 
 def test_fifo_pairs_resolved_on_busy_node(busy_node_trace):
@@ -88,7 +92,7 @@ def test_sum_lower_row_accounted(chain_trace):
     # Packet d anchors a sum row, but d is single-hop so every term is
     # known: the row folds to a (consistent) constant and is not emitted.
     assert system.stats["sum_lower_rows"] == 1
-    assert len(system.builder.rows_by_tag("sum_lo")) == 0
+    assert len(system.rows.select({SUM_LO})) == 0
     assert system.stats.get("inconsistent_known_rows", 0) == 0
 
 
@@ -98,20 +102,20 @@ def test_sum_lower_row_with_unknown_terms():
     q = make_received(5, 0, (5, 4, 0), (0.0, 10.0, 20.0), sum_of_delays=10)
     p = make_received(5, 1, (5, 4, 0), (100.0, 112.0, 125.0), sum_of_delays=12)
     system = _system(bundle_of(q, p))
-    assert len(system.builder.rows_by_tag("sum_lo")) == 1
+    assert len(system.rows.select({SUM_LO})) == 1
 
 
 def test_sum_rows_skipped_on_seqno_gap():
     q = make_received(1, 0, (1, 0), (0.0, 10.0), sum_of_delays=10)
     p = make_received(1, 2, (1, 0), (100.0, 110.0), sum_of_delays=10)
     system = _system(bundle_of(q, p))
-    assert len(system.builder.rows_by_tag("sum_lo")) == 0
-    assert len(system.builder.rows_by_tag("sum_hi")) == 0
+    assert len(system.rows.select({SUM_LO})) == 0
+    assert len(system.rows.select({SUM_HI})) == 0
 
 
 def test_upper_sum_can_be_disabled(chain_trace):
     system = _system(chain_trace, use_upper_sum=False)
-    assert len(system.builder.rows_by_tag("sum_hi")) == 0
+    assert len(system.rows.select({SUM_HI})) == 0
 
 
 def test_known_only_rows_checked_not_emitted():
@@ -120,7 +124,7 @@ def test_known_only_rows_checked_not_emitted():
     p = make_received(1, 1, (1, 0), (100.0, 110.0), sum_of_delays=10)
     system = _system(bundle_of(q, p))
     assert system.num_unknowns == 0
-    assert len(system.builder) == 0
+    assert len(system.rows) == 0
 
 
 def test_inconsistent_known_row_counted():
@@ -158,7 +162,7 @@ def test_truth_satisfies_all_rows_simulated(sim_trace):
     index = TraceIndex(list(sim_trace.received))
     system = build_constraints(index, ConstraintConfig())
     x = _truth_vector(system, sim_trace)
-    assert system.builder.max_violation(x) <= 1e-6
+    assert system.rows.max_violation(x) <= 1e-6
 
 
 def test_intervals_contain_truth_simulated(sim_trace):
@@ -175,4 +179,58 @@ def test_resolution_statistics_populated(sim_trace):
     system = build_constraints(index, ConstraintConfig())
     assert system.stats["unknowns"] == system.num_unknowns
     assert system.stats["fifo_resolved"] > 0
-    assert system.stats["rows"] == len(system.builder)
+    assert system.stats["rows"] == len(system.rows)
+
+
+def test_row_store_pins_every_family_row():
+    """Exact CSR rows, bounds and family codes of a small window.
+
+    q and p (source 2) and z (source 4, forwarded by 2) share forwarders
+    2 and 1; columns are the unknowns (q,1), (z,1), (z,2), (p,1). Known
+    times are folded into the bounds, columns are sorted, and rows that
+    fold to constants (FIFO legs between two known times) are dropped.
+    Pinning the arrays catches a reordered or re-folded row without
+    depending on solver floating point.
+    """
+    q = make_received(2, 0, (2, 1, 0), (0.0, 10.0, 20.0), sum_of_delays=10)
+    z = make_received(4, 0, (4, 2, 1, 0), (40.0, 50.0, 60.0, 70.0))
+    p = make_received(2, 1, (2, 1, 0), (100.0, 112.0, 125.0),
+                      sum_of_delays=22)
+    system = _system(bundle_of(q, z, p))
+    keys = [(k.packet_id.source, k.packet_id.seqno, k.hop)
+            for k in system.variables]
+    assert keys == [(2, 0, 1), (4, 0, 1), (4, 0, 2), (2, 1, 1)]
+    rows = system.rows
+    inf = np.inf
+    expected = [
+        # Eq. (5) order rows, omega = 1: t(h+1) - t(h) >= 1 per packet.
+        (ORDER, [0], [1.0], 1.0, inf),          # (q,1) - 0 >= 1
+        (ORDER, [0], [-1.0], -19.0, inf),       # 20 - (q,1) >= 1
+        (ORDER, [1], [1.0], 41.0, inf),         # (z,1) - 40 >= 1
+        (ORDER, [1, 2], [-1.0, 1.0], 1.0, inf),
+        (ORDER, [2], [-1.0], -69.0, inf),       # 70 - (z,2) >= 1
+        (ORDER, [3], [1.0], 101.0, inf),        # (p,1) - 100 >= 1
+        (ORDER, [3], [-1.0], -124.0, inf),      # 125 - (p,1) >= 1
+        # Linearized Eq. (1): later - earlier >= 0 per resolved leg.
+        (FIFO, [1], [1.0], 0.0, inf),           # node 2: (z,1) after q@0
+        (FIFO, [0, 2], [-1.0, 1.0], 0.0, inf),
+        (FIFO, [0, 3], [-1.0, 1.0], 0.0, inf),  # node 2: q, p
+        (FIFO, [1], [-1.0], -100.0, inf),       # node 2: p@0 after (z,1)
+        (FIFO, [2, 3], [-1.0, 1.0], 0.0, inf),
+        (FIFO, [0, 2], [-1.0, 1.0], 0.0, inf),  # node 1: q, z
+        (FIFO, [0, 3], [-1.0, 1.0], 0.0, inf),  # node 1: q, p
+        (FIFO, [2, 3], [-1.0, 1.0], 0.0, inf),  # node 1: z, p
+        # Eq. (7)/(6): D(p) + D_2(z) against S(p) = 22 with 2 ms slack.
+        (SUM_LO, [1, 2, 3], [-1.0, 1.0, 1.0], -inf, 124.0),
+        (SUM_HI, [1, 2, 3], [-1.0, 1.0, 1.0], 120.0, inf),
+    ]
+    indptr = np.cumsum([0] + [len(row[1]) for row in expected])
+    assert rows.indptr.tolist() == indptr.tolist()
+    assert rows.indices.tolist() == [c for row in expected for c in row[1]]
+    assert rows.data.tolist() == [v for row in expected for v in row[2]]
+    assert rows.lower.tolist() == [row[3] for row in expected]
+    assert rows.upper.tolist() == [row[4] for row in expected]
+    assert rows.family.tolist() == [row[0] for row in expected]
+    assert system.stats["rows"] == len(expected)
+    # The truth satisfies every pinned row.
+    assert rows.max_violation(_truth_vector(system, bundle_of(q, z, p))) == 0.0

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.core.candidate import compute_candidate_sets, loss_evidence
-from repro.core.constraints import ConstraintConfig, build_constraints
-from repro.core.records import TraceIndex
+from repro.core.constraints import SUM_LO, ConstraintConfig, build_constraints
+from repro.core.records import ArrivalKey, TraceIndex
 from repro.faults.injectors import make_injector
 from repro.sim import NetworkConfig, simulate_network
 from repro.sim.io import trace_from_dict, trace_to_dict
@@ -48,9 +48,9 @@ def _max_sum_lo_violation(faulted, trace, config=None) -> tuple[float, dict]:
     index = TraceIndex(faulted.received, omega_ms=1.0)
     system = build_constraints(index, config or ConstraintConfig())
     x = _ground_truth_vector(system, trace)
-    rows = system.builder.rows_by_tag("sum_lo:")
-    assert rows, "expected some Eq. (7) rows to survive"
-    return max(row.violation(x) for row in rows), system.stats
+    rows = system.rows.select({SUM_LO})
+    assert len(rows), "expected some Eq. (7) rows to survive"
+    return rows.max_violation(x), system.stats
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.2, 0.3])
@@ -107,5 +107,8 @@ def test_unanchored_candidate_sets_are_detected_and_skipped():
     assert sets.anchored is False
     system = build_constraints(index, ConstraintConfig())
     assert system.stats["sum_unanchored"] == 1
+    # The gapped packet's own Eq. (7) row would carry its (pid, 1) column.
     gapped = bundle.received[1].packet_id
-    assert not system.builder.rows_by_tag(f"sum_lo:{gapped}")
+    column = system.variables.index_of(ArrivalKey(gapped, 1))
+    sum_lo = system.rows.select({SUM_LO})
+    assert column not in sum_lo.indices

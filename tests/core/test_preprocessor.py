@@ -138,7 +138,7 @@ def test_unsorted_input_builds_identical_systems():
             p.packet_id for p in right.index.packets
         ]
         assert left.system.intervals == right.system.intervals
-        assert len(left.system.builder) == len(right.system.builder)
+        assert len(left.system.rows) == len(right.system.rows)
 
 
 def test_empty_input():

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import substrate_domo_config
-from repro.core.constraints import build_constraints
+from repro.core.constraints import SUM_HI, build_constraints
 from repro.core.records import TraceIndex
 from repro.sim import NetworkConfig, Simulator
 from repro.sim.mac import MacConfig
@@ -67,13 +67,14 @@ def test_truth_feasible_for_any_simulated_trace(
 
     # (a) every emitted row holds at the true point. Eq. (6) rows are the
     # known loss-unsafe exception; they must be the ONLY violated family.
-    for row in system.builder.rows:
-        violation = row.violation(truth)
+    violations = system.rows.violations(truth)
+    for row, violation in enumerate(violations):
         if violation > 1e-6:
-            assert row.tag.startswith("sum_hi"), (
-                f"sound row {row.tag} violated by {violation:.4f} ms "
-                f"(seed={seed}, loss_db={reference_loss_db:.1f}, "
-                f"ack_loss={ack_loss})"
+            family = system.rows.family[row]
+            assert family == SUM_HI, (
+                f"sound row {row} (family {family}) violated by "
+                f"{violation:.4f} ms (seed={seed}, "
+                f"loss_db={reference_loss_db:.1f}, ack_loss={ack_loss})"
             )
 
     # (b) every tightened interval still contains the truth.

@@ -6,7 +6,7 @@ import pytest
 from repro.core.constraints import ConstraintConfig, build_constraints
 from repro.core.records import ArrivalKey, TraceIndex
 from repro.core.sdr import SdrConfig, solve_window_sdr
-from repro.core.estimator import estimate_arrival_times
+from repro.backends.domo_qp import estimate_arrival_times
 from repro.sim.packet import PacketId
 
 from tests.core.conftest import bundle_of, make_received

@@ -1,9 +1,16 @@
 """Tests of the parallel window-solve engine."""
 
+import numpy as np
 import pytest
 
-from repro.core.constraints import ConstraintConfig
-from repro.core.estimator import estimate_arrival_times_info
+from repro.backends.domo_qp import estimate_arrival_times_info
+from repro.core.constraints import (
+    FIFO,
+    ORDER,
+    SUM_HI,
+    SUM_LO,
+    ConstraintConfig,
+)
 from repro.core.preprocessor import build_window_systems
 from repro.optim.result import SolverError, SolverStatus
 from repro.runtime.executor import (
@@ -169,7 +176,7 @@ def test_relaxation_ladder_walks_to_order_only(monkeypatch):
 
 
 def test_relaxed_windows_surface_in_summary(monkeypatch):
-    from repro.runtime.telemetry import summarize_telemetry
+    from repro.obs.solver_telemetry import summarize_telemetry
 
     systems = _systems()
     monkeypatch.setattr(
@@ -186,11 +193,22 @@ def test_relaxed_windows_surface_in_summary(monkeypatch):
 def test_relaxation_ladder_tags_are_disjoint_families():
     """Each rung keeps strictly fewer constraint families than the last."""
     systems = _systems()
-    builder = systems[0].system.builder
-    sizes = [len(builder)]
-    for _, keep in RELAXATION_LADDER:
-        sizes.append(len(builder.filtered(keep)))
+    rows = systems[0].system.rows
+    assert set(np.unique(rows.family)) == {ORDER, FIFO, SUM_LO, SUM_HI}
+    assert [(stage, set(families)) for stage, families in RELAXATION_LADDER] == [
+        ("drop_sum_upper", {ORDER, FIFO, SUM_LO}),
+        ("drop_fifo", {ORDER, SUM_LO}),
+        ("order_only", {ORDER}),
+    ]
+    sizes = [len(rows)]
+    for _, families in RELAXATION_LADDER:
+        kept = rows.select(families)
+        # Exactly the rung's families survive, every row of each.
+        assert set(np.unique(kept.family)) == set(families)
+        assert len(kept) == int(np.isin(rows.family, list(families)).sum())
+        sizes.append(len(kept))
     assert sizes == sorted(sizes, reverse=True)
+    assert len(set(sizes)) == len(sizes)
     # order rows are never dropped: the final rung is still nonempty.
     assert sizes[-1] > 0
 

@@ -2,7 +2,7 @@
 
 import math
 
-from repro.runtime.telemetry import (
+from repro.obs.solver_telemetry import (
     WindowTelemetry,
     format_telemetry_report,
     summarize_telemetry,

@@ -1,10 +1,34 @@
 """Smoke tests of the top-level package API."""
 
+import os
+import subprocess
+import sys
+
 import repro
 
 
 def test_version():
     assert repro.__version__
+
+
+def test_import_does_not_load_scipy_optimize():
+    """Only the bound LPs need scipy.optimize; ``import repro`` must not
+    pay for it (every CLI call and shard restart imports the package)."""
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src_dir, env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro; print('scipy.optimize' in sys.modules)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_all_exports_resolve():
